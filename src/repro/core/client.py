@@ -44,6 +44,15 @@ _POSITION_BYTES = 2
 #: Upper bound on remembered peer-access history for explicit updates.
 _HISTORY_CAP = 200
 
+#: Message kinds bound once: ``on_message`` runs for every delivery, and an
+#: Enum class-attribute lookup costs several times a global lookup.
+_REQUEST = MessageKind.REQUEST
+_REPLY = MessageKind.REPLY
+_RETRIEVE = MessageKind.RETRIEVE
+_DATA = MessageKind.DATA
+_SIG_REQUEST = MessageKind.SIG_REQUEST
+_SIG_REPLY = MessageKind.SIG_REPLY
+
 #: Tracer instant + metrics kind per circuit-breaker transition target.
 _BREAKER_NOTES = {
     "open": ("breaker-open", "breaker_trip"),
@@ -341,7 +350,7 @@ class MobileHost:
             hops_left=self.config.hop_dist - 1,
             path=[self.index],
         )
-        self.env.process(self._broadcast(message, size - self.sizes.request))
+        self._broadcast(message, size - self.sizes.request)
 
         reply = None
         tau = self.timeout.current()
@@ -383,7 +392,7 @@ class MobileHost:
                 hops_left=self.config.hop_dist - 1,
                 path=[self.index],
             )
-            self.env.process(self._broadcast(retry))
+            self._broadcast(retry)
             tau *= 2.0  # exponential backoff of the listen window
         if reply is None:
             self._finish_search(sid, "timeout")
@@ -765,27 +774,27 @@ class MobileHost:
                 recorded=self.metrics.recording,
             )
 
-    def _broadcast(self, message: Message, signature_bytes: int = 0):
-        yield from self.network.broadcast(
+    def _broadcast(self, message: Message, signature_bytes: int = 0) -> None:
+        self.network.post_broadcast(
             self.index, message, signature_bytes=signature_bytes
         )
 
     # ------------------------------------------------------------ message handling
 
     def on_message(self, message: Message) -> None:
-        """Receive callback; cheap state updates, network work is spawned."""
+        """Receive callback; cheap state updates, network work is posted."""
         kind = message.kind
-        if kind is MessageKind.REQUEST:
+        if kind is _REQUEST:
             self._on_request(message)
-        elif kind is MessageKind.REPLY:
+        elif kind is _REPLY:
             self._on_reply(message)
-        elif kind is MessageKind.RETRIEVE:
+        elif kind is _RETRIEVE:
             self._on_retrieve(message)
-        elif kind is MessageKind.DATA:
+        elif kind is _DATA:
             self._on_data(message)
-        elif kind is MessageKind.SIG_REQUEST:
+        elif kind is _SIG_REQUEST:
             self._on_sig_request(message)
-        elif kind is MessageKind.SIG_REPLY:
+        elif kind is _SIG_REPLY:
             self._on_sig_reply(message)
 
     def _on_request(self, message: Message) -> None:
@@ -798,7 +807,7 @@ class MobileHost:
             if payload["update"] is not None and origin in signatures.members:
                 signatures.apply_peer_update(*payload["update"])
             if signatures.notice_peer_alive(origin):
-                self.env.process(self._send_sig_request(origin))
+                self._send_sig_request(origin)
         if self._seen_search.get(origin, -1) >= seq:
             return
         self._seen_search[origin] = seq
@@ -807,7 +816,7 @@ class MobileHost:
             self.replacement.note_remote_request(item)
         entry = self.cache.get(item)
         if entry is not None and entry.is_valid(self.env.now):
-            self.env.process(self._send_reply(message, entry))
+            self._send_reply(message, entry)
         elif message.hops_left > 0:
             forward = Message(
                 kind=MessageKind.REQUEST,
@@ -819,17 +828,24 @@ class MobileHost:
                 hops_left=message.hops_left - 1,
                 path=message.path + [self.index],
             )
-            self.env.process(
-                self._broadcast(forward, message.size - self.sizes.request)
-            )
+            self._broadcast(forward, message.size - self.sizes.request)
 
-    def _send_reply(self, request: Message, entry: CacheEntry):
+    def _send_reply(self, request: Message, entry: CacheEntry) -> None:
         """Turn in a REPLY along the reverse of the request's path."""
-        route = list(reversed(request.path + [self.index]))
-        message = Message(
+        self.network.post_route(
+            list(reversed(request.path + [self.index])),
+            compose=self._reply_message,
+            arg=(request, entry),
+        )
+
+    def _reply_message(self, sending: Tuple[Message, CacheEntry]) -> Message:
+        """The REPLY, composed as its send starts (from the entry as it is
+        then)."""
+        request, entry = sending
+        return Message(
             kind=MessageKind.REPLY,
             src=self.index,
-            dst=route[-1],
+            dst=request.path[0],
             size=self.sizes.reply,
             payload={
                 "search": request.payload["search"],
@@ -841,7 +857,6 @@ class MobileHost:
             },
             created_at=self.env.now,
         )
-        yield from self.network.unicast_route(route, message)
 
     def _on_reply(self, message: Message) -> None:
         sid = message.payload["search"]
@@ -860,19 +875,26 @@ class MobileHost:
             state.reply_event.succeed(message.payload)
 
     def _on_retrieve(self, message: Message) -> None:
-        self.env.process(self._serve_retrieve(message))
+        self.network.post_route(
+            list(reversed(message.payload["path"])),  # me ... origin
+            compose=self._data_message,
+            arg=message,
+            on_delivered=self._refresh_served_copy,
+        )
 
-    def _serve_retrieve(self, message: Message):
-        payload = message.payload
+    def _data_message(self, retrieve: Message) -> Optional[Message]:
+        """The DATA serving a RETRIEVE, composed as its send starts; None
+        when the copy was evicted or expired since the reply (the
+        requester then times out)."""
+        payload = retrieve.payload
         item = payload["item"]
         entry = self.cache.get(item)
         if entry is None or not entry.is_valid(self.env.now):
-            return  # evicted/expired since the reply; requester times out
-        path = payload["path"]  # origin ... me
-        data = Message(
+            return None
+        return Message(
             kind=MessageKind.DATA,
             src=self.index,
-            dst=path[0],
+            dst=payload["path"][0],
             size=self.sizes.data_message(),
             payload={
                 "search": payload["search"],
@@ -887,15 +909,15 @@ class MobileHost:
             },
             created_at=self.env.now,
         )
-        requester = path[0]
-        delivered = yield from self.network.unicast_route(
-            list(reversed(path)), data
-        )
-        if delivered and self.signatures is not None:
-            if requester in self.signatures.members and item in self.cache:
-                # Section IV-E: serving a TCG member refreshes the copy.
-                self.cache.touch(item, self.env.now)
-                self.replacement.note_access(self.cache.get(item), self.env.now)
+
+    def _refresh_served_copy(self, data: Message) -> None:
+        """Section IV-E: serving a TCG member refreshes the copy."""
+        if self.signatures is None or data.dst not in self.signatures.members:
+            return
+        item = data.payload["item"]
+        if item in self.cache:
+            self.cache.touch(item, self.env.now)
+            self.replacement.note_access(self.cache.get(item), self.env.now)
 
     def _on_data(self, message: Message) -> None:
         sid = message.payload["search"]
@@ -907,7 +929,9 @@ class MobileHost:
 
     # ----------------------------------------------------------- signature traffic
 
-    def _send_sig_request(self, peer: int, members: Optional[Set[int]] = None):
+    def _send_sig_request(
+        self, peer: int, members: Optional[Set[int]] = None
+    ) -> None:
         """Direct (unicast) or membership-scoped broadcast SigRequest."""
         if members is None:
             message = Message(
@@ -918,9 +942,7 @@ class MobileHost:
                 payload={"from": self.index, "members": None},
                 created_at=self.env.now,
             )
-            yield from self.network.unicast(
-                self.index, peer, message, purpose="signature"
-            )
+            self.network.post_route([self.index, peer], message, purpose="signature")
         else:
             message = Message(
                 kind=MessageKind.SIG_REQUEST,
@@ -931,9 +953,7 @@ class MobileHost:
                 payload={"from": self.index, "members": set(members)},
                 created_at=self.env.now,
             )
-            yield from self.network.broadcast(
-                self.index, message, purpose="signature"
-            )
+            self.network.post_broadcast(self.index, message, purpose="signature")
 
     def _on_sig_request(self, message: Message) -> None:
         if self.signatures is None:
@@ -942,22 +962,27 @@ class MobileHost:
         members = payload["members"]
         if members is not None and self.index not in members:
             return  # broadcast recollection for somebody else's TCG
-        self.env.process(self._send_sig_reply(payload["from"]))
+        requester = payload["from"]
+        self.network.post_route(
+            [self.index, requester],
+            purpose="signature",
+            compose=self._sig_reply_message,
+            arg=requester,
+        )
 
-    def _send_sig_reply(self, requester: int):
+    def _sig_reply_message(self, requester: int) -> Message:
+        """The SigReply, composed from the signature as it is when the send
+        starts."""
         bits, wire_bytes, _compressed = self.signatures.full_signature_payload(
             len(self.cache)
         )
-        message = Message(
+        return Message(
             kind=MessageKind.SIG_REPLY,
             src=self.index,
             dst=requester,
             size=self.sizes.sig_reply(wire_bytes),
             payload={"from": self.index, "bits": bits},
             created_at=self.env.now,
-        )
-        yield from self.network.unicast(
-            self.index, requester, message, purpose="signature"
         )
 
     def _on_sig_reply(self, message: Message) -> None:
@@ -976,11 +1001,9 @@ class MobileHost:
 
     def _execute_membership_actions(self, actions: MembershipActions) -> None:
         if actions.recollect and self.signatures.members:
-            self.env.process(
-                self._send_sig_request(-1, members=set(self.signatures.members))
-            )
+            self._send_sig_request(-1, members=set(self.signatures.members))
         for peer in actions.request_from:
-            self.env.process(self._send_sig_request(peer))
+            self._send_sig_request(peer)
 
     # -------------------------------------------------------------- MSS interaction
 

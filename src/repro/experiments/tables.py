@@ -45,20 +45,35 @@ def format_results_row(result: Results) -> str:
 
 
 def format_sweep_table(table: SweepTable, title: str = "") -> str:
-    """Render all four panels of one figure as aligned text tables."""
+    """Render all four panels of one figure as aligned text tables.
+
+    Columns are 10 characters wide, or as wide as their widest cell plus a
+    separating space when a value label or number needs more.
+    """
     lines: List[str] = []
     header = f"=== {table.figure}: {title or table.parameter} ==="
     lines.append(header)
     schemes = list(table.rows)
+    labels = [str(v) for v in table.values]
     for metric, panel, unit in PANELS:
         lines.append("")
         lines.append(f"{panel} [{unit}]")
-        value_cells = "".join(f"{str(v):>10}" for v in table.values)
+        rows = [
+            [_fmt(v) for v in table.series(scheme, metric)] for scheme in schemes
+        ]
+        widths = []
+        for col, label in enumerate(labels):
+            width = max([10, *(len(row[col]) + 1 for row in rows)])
+            if len(label) > 10:  # longer labels get a separating space
+                width = max(width, len(label) + 1)
+            widths.append(width)
+        value_cells = "".join(
+            f"{label:>{width}}" for label, width in zip(labels, widths)
+        )
         lines.append(f"  {table.parameter:>12} |{value_cells}")
-        lines.append("  " + "-" * (14 + 10 * len(table.values)))
-        for scheme in schemes:
-            series = table.series(scheme, metric)
-            cells = "".join(f" {_fmt(v)}" for v in series)
+        lines.append("  " + "-" * (14 + sum(widths)))
+        for scheme, row in zip(schemes, rows):
+            cells = "".join(f"{cell:>{width}}" for cell, width in zip(row, widths))
             lines.append(f"  {scheme:>12} |{cells}")
     lines.append("")
     return "\n".join(lines)

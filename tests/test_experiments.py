@@ -129,6 +129,23 @@ def test_format_sweep_table_contains_all_panels():
         assert scheme in text
 
 
+def test_format_sweep_table_sizes_columns_to_long_labels():
+    labels = ["stationary-zipf", "ycsb", "flash-crowd", "diurnal"]
+    table = SweepTable(figure="FigW", parameter="workload", values=labels)
+    for scheme in ("LC", "GC"):
+        table.rows[scheme] = [make_results(scheme=scheme) for _ in labels]
+    lines = format_sweep_table(table).splitlines()
+    header = lines[3]
+    assert header.split("|", 1)[1].split() == labels
+    # Every row of a panel ends at the same column as its header and rule.
+    panel = lines[3:7]
+    assert len({len(line) for line in panel}) == 1, panel
+    # Labels of up to 10 characters keep the fixed 10-character columns.
+    short = SweepTable(figure="FigS", parameter="x", values=[50, "popularity"])
+    short.rows["LC"] = [make_results(), make_results()]
+    assert f"  {'x':>12} |{'50':>10}{'popularity':>10}" in format_sweep_table(short)
+
+
 def test_format_sweep_table_handles_inf_and_zero():
     table = SweepTable(figure="FigZ", parameter="x", values=[1])
     zero_gch = make_results(gch=0)

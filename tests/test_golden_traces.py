@@ -7,6 +7,7 @@ import pytest
 
 from repro.check import golden
 from repro.core.config import SimulationConfig
+from repro.core.simulation import run_simulation
 
 FIXTURES = Path(__file__).parent / "golden"
 
@@ -22,6 +23,16 @@ def test_committed_fixtures_replay_without_drift():
     assert set(diffs) == set(golden.GOLDEN_CASES)
     drifted = {name: lines for name, lines in diffs.items() if lines}
     assert drifted == {}
+
+
+@pytest.mark.parametrize("name", sorted(golden.GOLDEN_CASES))
+def test_replay_processes_no_more_events_than_recorded(name):
+    """The event count is not compared exactly (it is queue internals), but
+    a change may only remove kernel events relative to the fixture."""
+    with (FIXTURES / f"{name}.json").open() as handle:
+        recorded = json.load(handle)["results"]["profile"]["events"]
+    results = run_simulation(golden.GOLDEN_CASES[name])
+    assert results.profile.events <= recorded
 
 
 def test_fixture_configs_round_trip_to_the_canonical_cases():

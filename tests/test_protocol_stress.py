@@ -51,14 +51,15 @@ def test_replier_disconnects_between_reply_and_retrieve():
     world = World([(0.0, 0.0), (30.0, 0.0)], scheme=CachingScheme.CC)
     world.give_item(1, item=7)
 
-    original = world.clients[1]._send_reply
+    # The replier drops off the air the moment its reply is delivered.
+    original = world.clients[0]._on_reply
 
-    def reply_then_vanish(request, entry):
-        yield from original(request, entry)
+    def reply_then_vanish(message):
+        original(message)
         world.network.set_connected(1, False)
         world.clients[1].connected = False
 
-    world.clients[1]._send_reply = reply_then_vanish
+    world.clients[0]._on_reply = reply_then_vanish
     world.access(0, 7)
     # The retrieve fails; the requester must still resolve via the server.
     assert world.metrics.outcomes[RequestOutcome.SERVER] == 1

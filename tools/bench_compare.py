@@ -7,10 +7,11 @@ Usage::
     python tools/bench_compare.py old.json new.json --threshold 0.15
 
 Prints a per-benchmark speedup table (micro benches matched by name, plus
-the sweep's aggregate events/sec) and exits non-zero when any compared
-series regresses by more than ``--threshold`` (default 15%).  Benches that
-exist on only one side are reported but never gate — adding or retiring a
-micro suite must not fail CI.
+the sweep's aggregate events/sec and wall-clock ms per 1000 simulated
+requests) and exits non-zero when any compared series regresses by more
+than ``--threshold`` (default 15%).  Series that exist on only one side are
+reported but never gate — adding or retiring a micro suite, or comparing
+against a snapshot recorded before a series existed, must not fail CI.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ def _fmt_ratio(speedup: float) -> str:
 def compare(old: dict, new: dict, threshold: float) -> tuple:
     """Diff two snapshots; return (report lines, regression lines).
 
-    Micro benches compare ``mean_s`` (lower is better); the sweep compares
-    ``aggregate_events_per_sec`` (higher is better).  A series regresses
-    when its throughput falls below ``1 - threshold`` of the old value.
+    Micro benches compare ``mean_s`` and the sweep ``wall_ms_per_kreq``
+    (lower is better); the sweep also compares ``aggregate_events_per_sec``
+    (higher is better).  A series regresses when its speedup (old time /
+    new time, or new rate / old rate) falls below ``1 - threshold``.
     """
     lines = []
     regressions = []
@@ -86,6 +88,28 @@ def compare(old: dict, new: dict, threshold: float) -> tuple:
             )
     else:
         lines.append("  sweep aggregate: missing on one side (not compared)")
+
+    old_cost = old.get("sweep", {}).get("wall_ms_per_kreq", 0.0)
+    new_cost = new.get("sweep", {}).get("wall_ms_per_kreq", 0.0)
+    if old_cost > 0 and new_cost > 0:
+        speedup = old_cost / new_cost
+        lines.append(
+            f"  sweep cost: {old_cost:,.1f} -> {new_cost:,.1f} ms per 1k "
+            f"requests ({_fmt_ratio(speedup)})"
+        )
+        if speedup < floor:
+            regressions.append(
+                f"sweep ms per 1k requests: {_fmt_ratio(speedup)} exceeds "
+                f"the {threshold:.0%} regression budget"
+            )
+    elif old_cost > 0 or new_cost > 0:
+        side, cost = ("old", old_cost) if old_cost > 0 else ("new", new_cost)
+        lines.append(
+            f"  sweep cost: {cost:,.1f} ms per 1k requests only in {side} "
+            "snapshot (not compared)"
+        )
+    else:
+        lines.append("  sweep cost: missing on both sides (not compared)")
     return lines, regressions
 
 

@@ -8,7 +8,9 @@ performance:
   throughput, signature build/match), via ``--benchmark-json``;
 * a quick-profile figure sweep executed in-process with per-run
   :class:`~repro.sim.profile.RunProfile` data (wall-clock, events
-  processed, events/sec, subsystem counters).
+  processed, events/sec, measured requests, subsystem counters), plus the
+  sweep's aggregate events/sec and wall-clock ms per 1000 measured
+  requests.
 
 Usage::
 
@@ -134,12 +136,14 @@ def run_profiled_sweep(figure: str, jobs: int, rounds: int = 3) -> dict:
                     "wall_time_s": profile.wall_time,
                     "events": profile.events,
                     "events_per_sec": profile.events_per_sec,
+                    "requests": result.requests,
                 }
                 entry.update(profile.counters)
                 best[key] = entry
     runs = [best[key] for key in sorted(best)]
     total_wall = sum(run["wall_time_s"] for run in runs)
     total_events = sum(run["events"] for run in runs)
+    total_requests = sum(run["requests"] for run in runs)
     return {
         "figure": table.figure,
         "parameter": table.parameter,
@@ -149,8 +153,14 @@ def run_profiled_sweep(figure: str, jobs: int, rounds: int = 3) -> dict:
         "runs": runs,
         "total_wall_time_s": total_wall,
         "total_events": total_events,
+        "total_requests": total_requests,
         "aggregate_events_per_sec": (
             total_events / total_wall if total_wall > 0 else 0.0
+        ),
+        # Host cost per simulated request: unlike events/sec, it does not
+        # read a change that removes kernel events as a slowdown.
+        "wall_ms_per_kreq": (
+            total_wall * 1e6 / total_requests if total_requests else 0.0
         ),
     }
 
@@ -194,7 +204,8 @@ def main(argv=None) -> int:
     print(
         f"wrote {target}: {len(snapshot['micro'])} micro benches, "
         f"{len(sweep['runs'])} profiled runs, "
-        f"{sweep['aggregate_events_per_sec']:,.0f} events/s aggregate"
+        f"{sweep['aggregate_events_per_sec']:,.0f} events/s aggregate, "
+        f"{sweep['wall_ms_per_kreq']:,.1f} ms per 1k requests"
     )
     return 0
 
