@@ -72,8 +72,15 @@ class ServerChannel:
         waited = self.env.now - queued_at
         try:
             yield self.env.timeout(hold_time)
-        finally:
-            resource.release(grant)
+        except GeneratorExit:
+            # Closed, as when a discarded run is collected: hand the link to
+            # nobody.  A grant fired here would schedule an event from inside
+            # the collection and keep the whole run alive until the next one.
+            raise
+        except BaseException:
+            resource.release(grant)  # interrupted mid-hold
+            raise
+        resource.release(grant)
         return waited
 
     def send_downlink(self, size_bytes: int):

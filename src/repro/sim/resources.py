@@ -22,10 +22,13 @@ class Resource:
 
         grant = resource.request()
         yield grant
-        try:
-            ...  # hold the resource
-        finally:
-            resource.release(grant)
+        ...  # hold the resource
+        resource.release(grant)
+
+    A holder that can be interrupted releases in an ``except`` clause
+    that lets ``GeneratorExit`` through (see :meth:`acquire`): releasing
+    while a discarded run is being collected would schedule an event
+    from inside the collection.
     """
 
     __slots__ = ("env", "capacity", "_users", "_queue")
@@ -85,8 +88,14 @@ class Resource:
         yield grant
         try:
             yield self.env.timeout(hold_time)
-        finally:
-            self.release(grant)
+        except GeneratorExit:
+            # Closed, as when a discarded run is collected: hand the slot to
+            # nobody (see ServerChannel._send).
+            raise
+        except BaseException:
+            self.release(grant)  # interrupted mid-hold
+            raise
+        self.release(grant)
 
 
 class Store:

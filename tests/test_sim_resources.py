@@ -1,8 +1,10 @@
 """Unit tests for Resource and Store."""
 
+import gc
+
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Interrupt, Resource, SimulationError, Store
 
 
 def test_resource_serializes_users():
@@ -79,6 +81,84 @@ def test_resource_acquire_helper():
     env.process(user("y"))
     env.run()
     assert log == [("x", 4), ("y", 8)]
+
+
+
+class _Owner:
+    """Stands for simulation state reachable from a pending callback."""
+
+    def step(self, _event):
+        pass
+
+
+def _held_and_queued(hold):
+    """A link with one holder mid-hold, one waiter queued behind it, and an
+    owner reachable only through a callback still on the queue."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    for _ in range(2):
+        env.process(hold(env, resource))
+    env.timeout(50.0).callbacks.append(_Owner().step)
+    env.run(until=1.0)
+
+
+def _owners_alive_after_one_collection(build):
+    """Build a run, drop it, and count the owners one gc pass leaves alive.
+
+    Weak references cannot tell: the collector clears them before it runs
+    finalizers, even for objects those finalizers then keep alive.
+    """
+    gc.collect()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        build()
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is _Owner)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _acquire_hold(env, resource):
+    yield from resource.acquire(4)
+
+
+def test_collecting_a_held_resource_frees_the_run_in_one_pass():
+    # Tearing down a run finalizes the holder's generator.  Handing the link
+    # on from there would schedule a grant from inside the collection and
+    # keep the whole discarded run alive until the next one.
+    assert _owners_alive_after_one_collection(
+        lambda: _held_and_queued(_acquire_hold)
+    ) == 0
+
+
+def test_interrupting_a_holder_still_releases_the_resource():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    log = []
+
+    def holder():
+        try:
+            yield from resource.acquire(10)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+
+    def waiter():
+        yield from resource.acquire(1)
+        log.append(("served", env.now))
+
+    first = env.process(holder())
+    env.process(waiter())
+
+    def interrupter():
+        yield env.timeout(2)
+        first.interrupt("stop")
+
+    env.process(interrupter())
+    env.run()
+    assert log == [("interrupted", 2), ("served", 3)]
 
 
 def test_resource_release_queued_request_cancels_it():
