@@ -22,7 +22,7 @@ sent, which keeps the protocol unit-testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class SignatureAgent:
         self.recollect_batch = int(recollect_batch)
         self._departures = 0
         self._last_broadcast = np.zeros(scheme.size_bits, dtype=bool)
+        # Algorithm 4's run cap per cache fill ε, None for "send raw": a
+        # pure function of ε, σ and k, so worked out once per ε.
+        self._run_caps: Dict[int, Optional[int]] = {}
         self.signatures_sent_compressed = 0
         self.signatures_sent_raw = 0
         self.signature_bytes_sent = 0
@@ -88,10 +91,10 @@ class SignatureAgent:
         back annihilate automatically because we diff against the snapshot.
         """
         current = self.own.signature().bits
-        insertions = np.nonzero(current & ~self._last_broadcast)[0]
-        evictions = np.nonzero(~current & self._last_broadcast)[0]
-        self._last_broadcast = current.copy()
-        return [int(p) for p in insertions], [int(p) for p in evictions]
+        flipped = np.flatnonzero(current != self._last_broadcast)
+        inserted = current[flipped]
+        self._last_broadcast = current
+        return flipped[inserted].tolist(), flipped[~inserted].tolist()
 
     def has_update(self) -> bool:
         return bool(np.any(self.own.signature().bits != self._last_broadcast))
@@ -107,12 +110,8 @@ class SignatureAgent:
         """
         signature = self.own.signature()
         raw_bytes = signature.size_bytes
-        if self.compression_enabled and should_compress(
-            cached_items, self.scheme.size_bits, self.scheme.k
-        ):
-            run_cap = find_optimal_r(
-                cached_items, self.scheme.size_bits, self.scheme.k
-            )
+        run_cap = self._run_cap(cached_items) if self.compression_enabled else None
+        if run_cap is not None:
             compressed = vlfl_encode(signature.bits, run_cap)
             if compressed.size_bytes < raw_bytes:
                 self.signatures_sent_compressed += 1
@@ -121,6 +120,16 @@ class SignatureAgent:
         self.signatures_sent_raw += 1
         self.signature_bytes_sent += raw_bytes
         return signature.bits.copy(), raw_bytes, False
+
+    def _run_cap(self, cached_items: int) -> Optional[int]:
+        if cached_items not in self._run_caps:
+            size_bits, k = self.scheme.size_bits, self.scheme.k
+            self._run_caps[cached_items] = (
+                find_optimal_r(cached_items, size_bits, k)
+                if should_compress(cached_items, size_bits, k)
+                else None
+            )
+        return self._run_caps[cached_items]
 
     # -- peer vector updates -----------------------------------------------------------
 

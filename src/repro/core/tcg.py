@@ -15,7 +15,12 @@ client contacts the MSS.
 
 The ASM is maintained incrementally: per-pair dot products and per-client
 squared norms make one access an O(N) update instead of an O(N · NData)
-recomputation.
+recomputation.  The two threshold tests are kept as boolean matrices too
+(``_near``: WADM ≤ Δ, ``_alike``: similarity ≥ δ).  A pair's distance and
+similarity change only when one of its two clients contacts the MSS, and
+that contact refreshes the client's row and column, so each matrix always
+equals its threshold test over the current WADM/ASM and a recheck is one
+row AND.
 """
 
 from __future__ import annotations
@@ -66,6 +71,13 @@ class TCGManager:
         self.wadm = np.full((n_clients, n_clients), math.inf)
         self._has_location = np.zeros(n_clients, dtype=bool)
         self._last_position = np.zeros((n_clients, 2))
+        # Threshold tests over the current WADM / ASM.  Every distance
+        # starts at inf and every norm at zero, so every similarity starts
+        # at 0 (1 on the diagonal).
+        shape = (n_clients, n_clients)
+        self._near = np.full(shape, math.inf <= self.distance_threshold)
+        self._alike = np.full(shape, 0.0 >= self.similarity_threshold)
+        np.fill_diagonal(self._alike, True)
         self.member = np.zeros((n_clients, n_clients), dtype=bool)
         # What each client was last told its TCG is (for async announcements).
         self._announced: List[Set[int]] = [set() for _ in range(n_clients)]
@@ -79,15 +91,22 @@ class TCGManager:
         others = self._has_location.copy()
         others[client] = False
         if others.any():
-            deltas = self._last_position[others] - position
+            deltas = self._last_position - position
             distances = np.hypot(deltas[:, 0], deltas[:, 1])
-            old = self.wadm[client, others]
+            old = self.wadm[client]
+            # A first report is taken as is; masking its inf before the
+            # blend keeps (1 − ω)·inf from becoming nan at ω = 1.
             first_time = np.isinf(old)
-            with np.errstate(invalid="ignore"):
-                blended = self.omega * distances + (1.0 - self.omega) * old
-            new = np.where(first_time, distances, blended)
-            self.wadm[client, others] = new
-            self.wadm[others, client] = new
+            blended = self.omega * distances + (1.0 - self.omega) * np.where(
+                first_time, 0.0, old
+            )
+            # Hosts never located (and the client itself) stay at inf.
+            new = np.where(others, np.where(first_time, distances, blended), old)
+            self.wadm[client] = new
+            self.wadm[:, client] = new
+            near = new <= self.distance_threshold
+            self._near[client] = near
+            self._near[:, client] = near
         self._last_position[client] = position
         self._has_location[client] = True
         self._recheck_row(client)
@@ -98,13 +117,16 @@ class TCGManager:
         """Fold accesses into the ASM (incremental cosine) and recheck row."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        column = self.access_counts[:, item]
-        self._dot[client, :] += count * column
-        self._dot[:, client] += count * column
+        increment = count * self.access_counts[:, item]
+        self._dot[client, :] += increment
+        self._dot[:, client] += increment
         self._sq_norms[client] += (
             2.0 * count * self.access_counts[client, item] + count * count
         )
         self.access_counts[client, item] += count
+        alike = self.similarity_row(client) >= self.similarity_threshold
+        self._alike[client] = alike
+        self._alike[:, client] = alike
         self._recheck_row(client)
 
     # -- similarity / distance queries ----------------------------------------------
@@ -120,12 +142,12 @@ class TCGManager:
 
     def similarity_row(self, client: int) -> np.ndarray:
         denominator = self._sq_norms[client] * self._sq_norms
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.where(
-                denominator > 0.0,
-                self._dot[client] / np.sqrt(denominator),
-                0.0,
-            )
+        row = np.divide(
+            self._dot[client],
+            np.sqrt(denominator),
+            out=np.zeros(self.n_clients),
+            where=denominator > 0.0,
+        )
         row[client] = 1.0
         return row
 
@@ -135,11 +157,7 @@ class TCGManager:
     # -- Algorithm 3: membership checking ---------------------------------------------
 
     def _recheck_row(self, client: int) -> None:
-        eligible = (
-            (self.wadm[client] <= self.distance_threshold)
-            & (self.similarity_row(client) >= self.similarity_threshold)
-            & self._has_location
-        )
+        eligible = self._near[client] & self._alike[client] & self._has_location
         eligible[client] = False
         if not self._has_location[client]:
             eligible[:] = False
@@ -162,7 +180,7 @@ class TCGManager:
 
     def tcg_of(self, client: int) -> Set[int]:
         """The current TCG of a client (live MSS view)."""
-        return set(int(j) for j in np.nonzero(self.member[client])[0])
+        return set(np.flatnonzero(self.member[client]).tolist())
 
     def drain_changes(self, client: int) -> Tuple[Set[int], Set[int]]:
         """Membership delta since this client was last told (async view change).
@@ -175,10 +193,6 @@ class TCGManager:
         removed = previous - current
         self._announced[client] = current
         return added, removed
-
-    def announced_view(self, client: int) -> Set[int]:
-        """What the client currently believes its TCG is."""
-        return set(self._announced[client])
 
     def full_view(self, client: int) -> Set[int]:
         """Authoritative membership for a reconnection sync (marks announced)."""

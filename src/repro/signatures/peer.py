@@ -96,7 +96,11 @@ class PeerSignature:
 
     def matches_positions(self, positions: Iterable[int]) -> bool:
         """AND-filter: every given bit position is non-zero."""
-        return all(self.counters[p] > 0 for p in positions)
+        counters = self.counters
+        for position in positions:
+            if counters[position] <= 0:
+                return False
+        return True
 
     def covers(self, signature: BloomFilter) -> bool:
         """Search-signature test: peers likely cache all of ``signature``."""

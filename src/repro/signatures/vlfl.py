@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -106,42 +105,34 @@ class CompressedSignature:
         return self.symbol_count * self.codeword_bits
 
 
-def _symbols_for_gap(zeros: int, run_cap: int, terminated: bool) -> List[int]:
-    """Symbols encoding ``zeros`` consecutive zeros (+ a one iff terminated)."""
-    symbols = [run_cap] * (zeros // run_cap)
-    remainder = zeros % run_cap
-    if terminated:
-        symbols.append(remainder)  # L zeros then the terminating one
-    elif remainder:
-        symbols.append(remainder)  # tail; decoder truncates the phantom one
-    return symbols
-
-
 def vlfl_encode(bits: np.ndarray, run_cap: int) -> CompressedSignature:
     """Encode a 0/1 vector with run cap ``R`` (must be ``2^l − 1``).
 
-    Works over the positions of set bits, so the cost is linear in the
-    number of ones rather than in σ (cache signatures are sparse).
+    Each gap of ``g`` zeros before a one becomes ``g // R`` full-run
+    symbols ``R`` and one terminated symbol ``g % R``; the trailing zero
+    run is coded the same way, except that a zero remainder gets no
+    symbol (the decoder truncates the phantom one).  The symbol stream is
+    built with array operations over the positions of set bits, so apart
+    from one scan for them the cost is linear in the number of ones
+    rather than in σ (cache signatures are sparse).
     """
     if run_cap < 1 or (run_cap + 1) & run_cap:
         raise ValueError(f"run cap must be 2**l - 1, got {run_cap}")
-    bits = np.asarray(bits).astype(bool)
-    ones = np.nonzero(bits)[0]
-    boundaries = np.concatenate([[-1], ones])
-    gaps = np.diff(boundaries) - 1  # zeros before each one
-    symbols: List[int] = []
-    for gap in gaps:
-        symbols.extend(_symbols_for_gap(int(gap), run_cap, terminated=True))
-    tail = len(bits) - (int(ones[-1]) + 1 if ones.size else 0)
-    symbols.extend(_symbols_for_gap(tail, run_cap, terminated=False))
+    bits = np.asarray(bits)
+    ones = bits.nonzero()[0]
+    boundaries = np.concatenate(([-1], ones, [len(bits)]))
+    # Zeros before each one, then the trailing zero run.
+    gaps = boundaries[1:] - boundaries[:-1] - 1
+    full_runs, remainders = np.divmod(gaps, run_cap)
+    ends = (full_runs + 1).cumsum() - 1  # index of each gap's last symbol
+    symbols = np.full(int(ends[-1]) + 1, run_cap, dtype=">u8")
+    symbols[ends] = remainders
+    if remainders[-1] == 0:
+        symbols = symbols[:-1]  # an unterminated tail needs no empty symbol
+    # Each symbol's low ``codeword`` bits, most significant first.
     codeword = max(1, (run_cap + 1).bit_length() - 1)
-    if symbols:
-        values = np.asarray(symbols, dtype=np.uint32)
-        shifts = np.arange(codeword - 1, -1, -1, dtype=np.uint32)
-        bitstream = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        payload = np.packbits(bitstream.ravel()).tobytes()
-    else:
-        payload = b""
+    stream = np.unpackbits(symbols.view(np.uint8)).reshape(-1, 64)
+    payload = np.packbits(stream[:, 64 - codeword :]).tobytes()
     return CompressedSignature(
         run_cap=run_cap,
         original_bits=len(bits),

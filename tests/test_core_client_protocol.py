@@ -352,3 +352,32 @@ def test_gc_client_without_signature_scheme_rejected():
             MessageSizes(),
             signature_scheme=None,
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="MobileHost._on_request applies the piggybacked signature update "
+    "before the flood dedupe, once per heard copy of the search "
+    "(docs/PROTOCOLS.md); fixing it moves the GroCoCa goldens",
+)
+def test_piggybacked_update_applied_once_per_receiver_per_search():
+    square = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (30.0, 30.0)]
+    world = World(square, scheme=CachingScheme.GC, hop_dist=3)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            world.befriend(a, b)
+    applied = {}
+    for client in world.clients[1:]:
+        agent = client.signatures
+        original = agent.apply_peer_update
+
+        def counting(insertions, evictions, index=client.index, original=original):
+            applied[index] = applied.get(index, 0) + 1
+            original(insertions, evictions)
+
+        agent.apply_peer_update = counting
+    world.give_item(0, item=5)  # a pending insertion rides on the search
+    world.config.signature_filtering = False
+    world.access(0, 42)  # nobody caches 42: every peer forwards the flood
+    assert world.network.broadcasts > 1  # the peers did hear forwarded copies
+    assert applied == {1: 1, 2: 1, 3: 1}

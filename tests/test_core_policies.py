@@ -227,6 +227,53 @@ def test_take_update_eviction_positions():
     assert set(evictions) == set(agent.scheme.positions(1))
 
 
+def _reference_update(current, last):
+    """The original whole-vector diff: (set now, clear now) vs the snapshot."""
+    insertions = np.nonzero(current & ~last)[0]
+    evictions = np.nonzero(~current & last)[0]
+    return [int(p) for p in insertions], [int(p) for p in evictions]
+
+
+def test_take_update_matches_whole_vector_diff():
+    agent = SignatureAgent(scheme(size=256), counter_bits=2)
+    rng = np.random.default_rng(7)
+    cached = []
+    last = np.zeros(256, dtype=bool)
+    reported = [0, 0]
+    for step in range(600):
+        if cached and rng.random() < 0.45:
+            item = cached.pop(int(rng.integers(len(cached))))
+            agent.record_evict(item, cache_items=cached)
+        else:
+            item = int(rng.integers(200))
+            if item not in cached:
+                cached.append(item)
+                agent.record_insert(item)
+        if step % 7 == 0:
+            current = agent.own.signature().bits
+            update = agent.take_update()
+            assert update == _reference_update(current, last)
+            for kind, positions in enumerate(update):
+                assert positions == sorted(positions)
+                assert all(type(p) is int for p in positions)
+                reported[kind] += len(positions)
+            last = current
+    assert all(reported)  # both insertions and evictions were exercised
+
+
+def test_take_update_bit_flipping_back_annihilates():
+    s = scheme()
+    agent = SignatureAgent(s, counter_bits=4)
+    agent.record_insert(1)
+    agent.take_update()
+    agent.record_evict(1, cache_items=[])  # every bit of item 1 clears ...
+    agent.record_insert(1)  # ... and sets again before the next broadcast
+    agent.record_insert(2)
+    insertions, evictions = agent.take_update()
+    assert evictions == []
+    assert insertions == sorted(set(s.positions(2)) - set(s.positions(1)))
+
+
 def test_shared_bit_not_reported_on_partial_evict():
     s = scheme()
     agent = SignatureAgent(s, counter_bits=4)

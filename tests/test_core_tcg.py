@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.monitor import InvariantMonitor
 from repro.core.tcg import TCGManager
 
 
@@ -189,3 +190,79 @@ def test_member_matrix_always_symmetric_no_self(accesses):
         m.record_access(client, item)
     assert np.array_equal(m.member, m.member.T)
     assert not m.member.diagonal().any()
+
+
+# -- threshold matrices against a from-scratch recomputation -----------------------
+
+_GRID = [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0), (0.0, 5.0), (5.0, 0.0), (9.0, 12.0)]
+_BOUNDARY_DELTA = 5.0  # many grid pairs sit exactly at this distance
+
+_tcg_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("loc"), st.integers(0, 4), st.integers(0, len(_GRID) - 1)),
+        st.tuples(
+            st.just("acc"), st.integers(0, 4), st.integers(0, 5), st.integers(1, 3)
+        ),
+    ),
+    max_size=60,
+)
+
+
+def _reference_wadm_update(wadm, positions, client, position, omega):
+    """Algorithm 1 one pair at a time (the EWMA, first report taken as is)."""
+    for other, seen in enumerate(positions):
+        if other == client or seen is None:
+            continue
+        distance = float(np.hypot(seen[0] - position[0], seen[1] - position[1]))
+        old = wadm[client][other]
+        new = distance if math.isinf(old) else omega * distance + (1.0 - omega) * old
+        wadm[client][other] = wadm[other][client] = new
+    positions[client] = position
+
+
+def _reference_similarity(counts):
+    """Cosine similarity (Equation 2) from the raw access counts."""
+    dot = (counts @ counts.T).astype(float)
+    norms = (counts * counts).sum(axis=1).astype(float)
+    n = len(counts)
+    similarity = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            denominator = norms[i] * norms[j]
+            if i == j:
+                similarity[i, j] = 1.0
+            elif denominator > 0.0:
+                similarity[i, j] = dot[i, j] / np.sqrt(denominator)
+    return similarity
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("sim", [0.0, 0.1, 1.0])
+@given(ops=_tcg_ops)
+@settings(max_examples=25, deadline=None)
+def test_threshold_matrices_match_recomputation(omega, sim, ops):
+    n = 5
+    monitor = InvariantMonitor()
+    m = TCGManager(n, 6, _BOUNDARY_DELTA, sim, omega, monitor=monitor)
+    wadm = [[math.inf] * n for _ in range(n)]
+    positions = [None] * n
+    for op in ops:
+        with np.errstate(all="raise"):
+            if op[0] == "loc":
+                _, client, cell = op
+                m.record_location(client, _GRID[cell])
+                _reference_wadm_update(wadm, positions, client, _GRID[cell], omega)
+            else:
+                _, client, item, count = op
+                m.record_access(client, item, count)
+        assert np.array_equal(m.wadm, np.array(wadm))
+        near = np.array(wadm) <= _BOUNDARY_DELTA
+        alike = _reference_similarity(m.access_counts) >= sim
+        located = np.array([p is not None for p in positions])
+        member = near & alike & np.outer(located, located)
+        np.fill_diagonal(member, False)
+        assert np.array_equal(m._near, near)
+        assert np.array_equal(m._alike, alike)
+        assert np.array_equal(m.member, member)
+    assert monitor.violations == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.signatures import (
+    CompressedSignature,
     PeerSignature,
     SignatureScheme,
     expected_compressed_bits,
@@ -86,6 +87,109 @@ def test_codeword_bits():
     assert vlfl_encode(np.zeros(4, dtype=bool), 1).codeword_bits == 1
     assert vlfl_encode(np.zeros(4, dtype=bool), 7).codeword_bits == 3
     assert vlfl_encode(np.zeros(4, dtype=bool), 15).codeword_bits == 4
+
+
+# -- equivalence with the per-gap reference encoder ------------------------------------
+
+RUN_CAPS = [(1 << exponent) - 1 for exponent in range(1, 9)]  # 1 .. 255
+
+
+def _reference_symbols_for_gap(zeros, run_cap, terminated):
+    symbols = [run_cap] * (zeros // run_cap)
+    remainder = zeros % run_cap
+    if terminated or remainder:
+        symbols.append(remainder)  # the tail's phantom one is truncated
+    return symbols
+
+
+def _reference_encode(bits, run_cap):
+    """The original encoder: one Python symbol list per gap."""
+    bits = np.asarray(bits).astype(bool)
+    ones = np.nonzero(bits)[0]
+    gaps = np.diff(np.concatenate([[-1], ones])) - 1
+    symbols = []
+    for gap in gaps:
+        symbols.extend(_reference_symbols_for_gap(int(gap), run_cap, True))
+    tail = len(bits) - (int(ones[-1]) + 1 if ones.size else 0)
+    symbols.extend(_reference_symbols_for_gap(tail, run_cap, False))
+    codeword = max(1, (run_cap + 1).bit_length() - 1)
+    payload = b""
+    if symbols:
+        values = np.asarray(symbols, dtype=np.uint32)
+        shifts = np.arange(codeword - 1, -1, -1, dtype=np.uint32)
+        stream = ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+        payload = np.packbits(stream.ravel()).tobytes()
+    return CompressedSignature(run_cap, len(bits), len(symbols), payload)
+
+
+def _assert_matches_reference(bits, run_cap):
+    compressed = vlfl_encode(bits, run_cap)
+    assert compressed == _reference_encode(bits, run_cap)
+    assert np.array_equal(vlfl_decode(compressed), bits)
+
+
+def _from_gaps(gaps, tail):
+    """A vector with ``gaps[i]`` zeros before its i-th one, then ``tail`` zeros."""
+    bits = []
+    for gap in gaps:
+        bits.extend([False] * gap)
+        bits.append(True)
+    bits.extend([False] * tail)
+    return np.array(bits, dtype=bool)
+
+
+@pytest.mark.parametrize("run_cap", RUN_CAPS)
+def test_encoder_matches_reference_for_small_sigma(run_cap):
+    rng = np.random.default_rng(run_cap)
+    for sigma in range(65):
+        _assert_matches_reference(np.zeros(sigma, dtype=bool), run_cap)
+        _assert_matches_reference(np.ones(sigma, dtype=bool), run_cap)
+        for density in (0.05, 0.3, 0.7):
+            _assert_matches_reference(rng.random(sigma) < density, run_cap)
+
+
+@pytest.mark.parametrize("run_cap", RUN_CAPS)
+def test_encoder_matches_reference_at_sigma_10000(run_cap):
+    rng = np.random.default_rng(run_cap)
+    _assert_matches_reference(np.zeros(10_000, dtype=bool), run_cap)
+    _assert_matches_reference(np.ones(10_000, dtype=bool), run_cap)
+    for ones in (1, 200, 2_000):
+        bits = np.zeros(10_000, dtype=bool)
+        bits[rng.choice(10_000, size=ones, replace=False)] = True
+        _assert_matches_reference(bits, run_cap)
+
+
+@pytest.mark.parametrize("run_cap", RUN_CAPS)
+def test_encoder_matches_reference_on_exact_multiples(run_cap):
+    for multiple in (0, 1, 2, 3):
+        run = multiple * run_cap
+        _assert_matches_reference(_from_gaps([run, run, 0, run], run), run_cap)
+        _assert_matches_reference(_from_gaps([run], 0), run_cap)
+        _assert_matches_reference(_from_gaps([], run), run_cap)
+        _assert_matches_reference(_from_gaps([run + 1, run], run + 1), run_cap)
+
+
+def test_encoder_matches_reference_for_an_empty_cache():
+    # With ε = 0 every bit is zero with probability 1, so Algorithm 4's
+    # expected size shrinks with every doubling and R reaches 2^62 − 1.
+    run_cap = find_optimal_r(0, 10_000, 2)
+    assert run_cap == (1 << 62) - 1
+    assert should_compress(0, 10_000, 2)
+    for sigma in (0, 1, 63, 10_000):
+        _assert_matches_reference(np.zeros(sigma, dtype=bool), run_cap)
+    bits = np.zeros(10_000, dtype=bool)
+    bits[[0, 17, 9_999]] = True
+    _assert_matches_reference(bits, run_cap)
+
+
+@given(
+    st.lists(st.integers(0, 40), max_size=20),
+    st.integers(0, 40),
+    st.sampled_from(RUN_CAPS),
+)
+@settings(max_examples=150)
+def test_encoder_matches_reference_property(gaps, tail, run_cap):
+    _assert_matches_reference(_from_gaps(gaps, tail), run_cap)
 
 
 # -- analytics / algorithm 4 ----------------------------------------------------------
